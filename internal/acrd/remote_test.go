@@ -276,12 +276,33 @@ func TestJournalCompactionAcrossLives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := s1.Submit(SubmitRequest{Name: "compact", Nodes: 2, Tasks: 1, Iters: 400_000, FlushEvery: 1})
+	const retain = 2
+	id, err := s1.Submit(SubmitRequest{Name: "compact", Nodes: 2, Tasks: 1, Iters: 400_000, FlushEvery: 1, FlushRetain: retain})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec1, _ := s1.lookup(id)
 	waitDurable(t, rec1, 2)
+	// Compaction keeps at most retain flush claims, so it can only shrink
+	// a journal that holds more: wait until some claim has gone stale.
+	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		recs, _, err := readJournal(jpath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flushes := 0
+		for _, r := range recs {
+			if r.Kind == recFlush {
+				flushes++
+			}
+		}
+		if flushes > retain {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("life 1 journaled only %d flush claims; want more than %d", flushes, retain)
+		}
+	}
 	s1.Close()
 	before, _, err := readJournal(jpath)
 	if err != nil {

@@ -68,7 +68,15 @@ func TestAllAppsSurviveFailures(t *testing.T) {
 			faulty, stats := acrRun(t, spec.Factory(iters), scheme, func(ctrl *core.Controller) {
 				ctrl.InjectSDCAtNextCheckpoint(runtime.Addr{Replica: 1, Node: 0, Task: 1})
 				go func() {
-					time.Sleep(15 * time.Millisecond)
+					// Kill only once the SDC has been detected. A kill that
+					// lands before the first round makes the weak scheme's
+					// recovery checkpoint commit the corrupted replica as
+					// trusted (§2.3, Fig 7b): the documented window of weak
+					// protection, not a fault of the program.
+					deadline := time.Now().Add(10 * time.Second)
+					for ctrl.Progress().SDCDetected < 1 && time.Now().Before(deadline) {
+						time.Sleep(time.Millisecond)
+					}
 					ctrl.KillNode(0, 1)
 				}()
 			})

@@ -17,9 +17,9 @@
 // bytes compared against the previous stream, so an unmarked scalar change
 // is self-detected and folded into the dirty set. The only trust placed in
 // the application is that *unmarked bulk elements* (entries of Float64s /
-// Int64s / Ints / Bytes collections) are unchanged; a tracker that lies
-// about those produces a stale capture — the failure mode the chaos
-// oracle's blinded-tracking sensitivity check exercises.
+// Float32s / Int64s / Ints / Bytes collections) are unchanged; a tracker
+// that lies about those produces a stale capture — the failure mode the
+// chaos oracle's blinded-tracking sensitivity check exercises.
 package pup
 
 import (
@@ -38,7 +38,8 @@ const rangeMax = int(^uint(0) >> 1)
 // Slice returns the sub-range of a bulk field's span covering elements
 // [lo, hi) of elemSize-byte elements. It assumes the span starts with the
 // field's 4-byte length prefix, which holds for a field labelled
-// immediately before a Float64s/Int64s/Ints/Bytes call (FieldSpans).
+// immediately before a Float64s/Float32s/Int64s/Ints/Bytes call
+// (FieldSpans).
 func (r Range) Slice(lo, hi, elemSize int) Range {
 	base := r.Lo + 4
 	return Range{Lo: base + lo*elemSize, Hi: base + hi*elemSize}
@@ -182,34 +183,7 @@ type DirtyPackResult struct {
 // ordinary full pack; the result is then correct but unspliced.
 func PackDirtyInto(obj Pupable, buf, prev []byte, dirty []Range) (DirtyPackResult, error) {
 	dirty = NormalizeRanges(dirty)
-	if prev == nil || cap(buf) == 0 {
-		data, fast, err := PackInto(obj, buf)
-		return DirtyPackResult{Data: data, Fast: fast}, err
-	}
-	b := buf[:cap(buf)]
-	p := packerPool.Get().(*PUPer)
-	*p = PUPer{mode: Packing, buf: b, prev: prev, dirty: dirty}
-	obj.Pup(p)
-	off, overflow, perr := p.off, p.overflow, p.err
-	diverged, reused, extra := p.diverged, p.reused, p.extra
-	p.extra = nil // detach before reset; extra may be returned to the caller
-	*p = PUPer{}
-	packerPool.Put(p)
-	switch {
-	case perr == nil:
-		res := DirtyPackResult{Data: b[:off], Fast: true}
-		if !diverged && off == len(prev) {
-			if len(extra) > 0 {
-				dirty = NormalizeRanges(append(dirty, extra...))
-			}
-			res.Dirty, res.Reused, res.Spliced = dirty, reused, true
-		}
-		return res, nil
-	case !overflow:
-		return DirtyPackResult{}, perr
-	}
-	data, err := Pack(obj)
-	return DirtyPackResult{Data: data}, err
+	return packDirty(obj, buf, prev, dirty, dirty, false)
 }
 
 // PackDirtyPatch packs obj by patching a retained older stream in place:
@@ -230,15 +204,20 @@ func PackDirtyInto(obj Pupable, buf, prev []byte, dirty []Range) (DirtyPackResul
 // still a correct stream, because bytes the traversal skipped are, by the
 // caller's precondition, identical in base, prev, and live state.
 func PackDirtyPatch(obj Pupable, buf, prev []byte, dirty, reencode []Range) (DirtyPackResult, error) {
+	return packDirty(obj, buf, prev, NormalizeRanges(dirty), NormalizeRanges(reencode), true)
+}
+
+// packDirty is the traversal behind PackDirtyInto (patch false: reencode
+// is dirty, clean bodies are copied from prev) and PackDirtyPatch (patch
+// true: buf already holds the clean bytes).
+func packDirty(obj Pupable, buf, prev []byte, dirty, reencode []Range, patch bool) (DirtyPackResult, error) {
 	if prev == nil || cap(buf) == 0 {
 		data, fast, err := PackInto(obj, buf)
 		return DirtyPackResult{Data: data, Fast: fast}, err
 	}
-	dirty = NormalizeRanges(dirty)
-	reencode = NormalizeRanges(reencode)
 	b := buf[:cap(buf)]
 	p := packerPool.Get().(*PUPer)
-	*p = PUPer{mode: Packing, buf: b, prev: prev, dirty: reencode, patch: true}
+	*p = PUPer{mode: Packing, buf: b, prev: prev, dirty: reencode, patch: patch}
 	obj.Pup(p)
 	off, overflow, perr := p.off, p.overflow, p.err
 	diverged, reused, extra := p.diverged, p.reused, p.extra
@@ -270,11 +249,11 @@ func (p *PUPer) splicing() bool {
 
 // spliceBulk packs the body of a bulk collection (n elements of elemSize
 // bytes at the current offset) by copying the previous stream's body and
-// re-encoding only elements that overlap a dirty range. encode writes
-// element i into its wire window. Returns true when it handled the body
-// (including by failing on overflow); false means the caller must encode
-// every element normally.
-func (p *PUPer) spliceBulk(n, elemSize int, encode func(i int, w []byte)) bool {
+// re-encoding only runs of elements that overlap a dirty range. encode
+// writes elements [lo, hi) into their wire window w in one loop. Returns
+// true when it handled the body (including by failing on overflow); false
+// means the caller must encode the whole body normally.
+func (p *PUPer) spliceBulk(n, elemSize int, encode func(lo, hi int, w []byte)) bool {
 	if !p.splicing() || p.err != nil {
 		return false
 	}
@@ -297,7 +276,9 @@ func (p *PUPer) spliceBulk(n, elemSize int, encode func(i int, w []byte)) bool {
 	}
 	encoded := 0
 	last := -1 // last re-encoded element index
-	for p.dirtyIdx < len(p.dirty) {
+	// An empty body has no element to re-encode, even under a mark that
+	// spans it.
+	for body > 0 && p.dirtyIdx < len(p.dirty) {
 		r := p.dirty[p.dirtyIdx]
 		if r.Hi <= lo {
 			p.dirtyIdx++
@@ -318,10 +299,8 @@ func (p *PUPer) spliceBulk(n, elemSize int, encode func(i int, w []byte)) bool {
 		if first <= last {
 			first = last + 1
 		}
-		for i := first; i <= lastEl; i++ {
-			encode(i, p.buf[lo+i*elemSize:lo+(i+1)*elemSize])
-		}
 		if lastEl >= first {
+			encode(first, lastEl+1, p.buf[lo+first*elemSize:lo+(lastEl+1)*elemSize])
 			encoded += lastEl - first + 1
 			last = lastEl
 			// Re-encoding is whole-element: where the mark cut into an

@@ -2,6 +2,7 @@ package pup
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -333,5 +334,38 @@ func TestFieldSpans(t *testing.T) {
 	}
 	if total := Size(tp); blobWant.Hi != total {
 		t.Fatalf("spans end %d, stream size %d", blobWant.Hi, total)
+	}
+}
+
+// narrowScalars has the 4- and 2-byte scalars next to a bulk field.
+type narrowScalars struct {
+	F float32
+	U uint16
+	V []float64
+}
+
+func (n *narrowScalars) Pup(p *PUPer) {
+	p.Float32(&n.F)
+	p.Uint16(&n.U)
+	p.Float64s(&n.V)
+}
+
+// Unmarked changes to float32 and uint16 scalars are self-detected like
+// every other scalar's: a spliced result must report them dirty, or chunk
+// sums of the previous capture would be reused over changed bytes.
+func TestPackDirtyIntoDetectsNarrowScalars(t *testing.T) {
+	st := &narrowScalars{F: 1.5, U: 7, V: []float64{1, 2, 3}}
+	prev, err := Pack(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.F, st.U = -2.5, 9
+	res, err := PackDirtyInto(st, make([]byte, 0, len(prev)), prev, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSpliceInvariant(t, res, prev)
+	if want := []Range{{Lo: 0, Hi: 6}}; !reflect.DeepEqual(res.Dirty, want) {
+		t.Fatalf("dirty %v, want %v", res.Dirty, want)
 	}
 }

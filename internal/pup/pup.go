@@ -18,6 +18,7 @@
 package pup
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -194,11 +195,13 @@ func (p *PUPer) fail(format string, args ...any) {
 	}
 }
 
-func (p *PUPer) addMismatch(local, remote float64) {
+// addMismatch records a value difference whose field ends at stream offset
+// off.
+func (p *PUPer) addMismatch(off int, local, remote float64) {
 	if len(p.mismatches) < MaxMismatches {
 		p.mismatches = append(p.mismatches, Mismatch{
 			Label:  p.label,
-			Offset: p.off,
+			Offset: off,
 			Local:  local,
 			Remote: remote,
 		})
@@ -263,7 +266,7 @@ func (p *PUPer) Uint64(v *uint64) {
 		if p.skipDepth == 0 {
 			r := binary.LittleEndian.Uint64(w)
 			if r != *v {
-				p.addMismatch(float64(*v), float64(r))
+				p.addMismatch(p.off, float64(*v), float64(r))
 			}
 		}
 	}
@@ -303,7 +306,7 @@ func (p *PUPer) Uint32(v *uint32) {
 		if p.skipDepth == 0 {
 			r := binary.LittleEndian.Uint32(w)
 			if r != *v {
-				p.addMismatch(float64(*v), float64(r))
+				p.addMismatch(p.off, float64(*v), float64(r))
 			}
 		}
 	}
@@ -331,7 +334,7 @@ func (p *PUPer) Bool(v *bool) {
 				local = 1
 			}
 			if w[0] != local {
-				p.addMismatch(float64(local), float64(w[0]))
+				p.addMismatch(p.off, float64(local), float64(w[0]))
 			}
 		}
 	}
@@ -353,7 +356,7 @@ func (p *PUPer) Float64(v *float64) {
 		if p.skipDepth == 0 {
 			r := math.Float64frombits(binary.LittleEndian.Uint64(w))
 			if !p.floatEqual(*v, r) {
-				p.addMismatch(*v, r)
+				p.addMismatch(p.off, *v, r)
 			}
 		}
 	}
@@ -390,114 +393,152 @@ func (p *PUPer) length(local int) int {
 	return -1
 }
 
+// window claims the n×size-byte body of a collection after its length
+// prefix with one bounds check, before any allocation, and returns it for
+// the caller's loop. In a splicing Packing traversal spliceBulk produces
+// the body instead, re-encoding dirty runs of elements [lo, hi) into w
+// with enc. ok is false when the caller has nothing left to do: a failed
+// prefix, Sizing, a spliced body, an error, or a Skip region in Checking.
+func (p *PUPer) window(n, size int, enc func(lo, hi int, w []byte)) (w []byte, ok bool) {
+	if n < 0 || p.spliceBulk(n, size, enc) {
+		return nil, false
+	}
+	w = p.raw(n * size)
+	return w, p.err == nil && p.mode != Sizing && (p.mode != Checking || p.skipDepth == 0)
+}
+
+// resized returns *v, first reallocated to length n if it differs.
+func resized[T any](v *[]T, n int) []T {
+	if len(*v) != n {
+		*v = make([]T, n)
+	}
+	return *v
+}
+
 // Float64s pipes a []float64, resizing on unpack.
 func (p *PUPer) Float64s(v *[]float64) {
 	n := p.length(len(*v))
-	if n < 0 {
+	w, ok := p.window(n, 8, func(lo, hi int, w []byte) { putFloat64s(w, (*v)[lo:hi]) })
+	if !ok {
 		return
 	}
-	if p.mode == Unpacking && len(*v) != n {
-		*v = make([]float64, n)
-	}
-	if p.mode == Sizing {
-		p.off += 8 * n
-		return
-	}
-	if p.spliceBulk(n, 8, func(i int, w []byte) {
-		binary.LittleEndian.PutUint64(w, math.Float64bits((*v)[i]))
-	}) {
-		return
-	}
-	for i := range *v {
-		if p.err != nil {
-			return
+	switch p.mode {
+	case Packing:
+		putFloat64s(w, *v)
+	case Unpacking:
+		getFloat64s(resized(v, n), w)
+	case Checking:
+		start := p.off - len(w)
+		for i, x := range *v {
+			if r := math.Float64frombits(binary.LittleEndian.Uint64(w[8*i:])); x != r && !p.floatEqual(x, r) {
+				p.addMismatch(start+8*(i+1), x, r)
+			}
 		}
-		p.Float64(&(*v)[i])
+	}
+}
+
+// The 8-byte codecs below move four elements per step: the unrolled body
+// runs at about twice the rate of the one-element loop that finishes the
+// tail.
+
+func putFloat64s(w []byte, s []float64) {
+	for ; len(s) >= 4 && len(w) >= 32; s, w = s[4:], w[32:] {
+		binary.LittleEndian.PutUint64(w[0:], math.Float64bits(s[0]))
+		binary.LittleEndian.PutUint64(w[8:], math.Float64bits(s[1]))
+		binary.LittleEndian.PutUint64(w[16:], math.Float64bits(s[2]))
+		binary.LittleEndian.PutUint64(w[24:], math.Float64bits(s[3]))
+	}
+	for i, x := range s {
+		binary.LittleEndian.PutUint64(w[8*i:], math.Float64bits(x))
+	}
+}
+
+func getFloat64s(s []float64, w []byte) {
+	for ; len(s) >= 4 && len(w) >= 32; s, w = s[4:], w[32:] {
+		s[0] = math.Float64frombits(binary.LittleEndian.Uint64(w[0:]))
+		s[1] = math.Float64frombits(binary.LittleEndian.Uint64(w[8:]))
+		s[2] = math.Float64frombits(binary.LittleEndian.Uint64(w[16:]))
+		s[3] = math.Float64frombits(binary.LittleEndian.Uint64(w[24:]))
+	}
+	for i := range s {
+		s[i] = math.Float64frombits(binary.LittleEndian.Uint64(w[8*i:]))
 	}
 }
 
 // Int64s pipes a []int64, resizing on unpack.
-func (p *PUPer) Int64s(v *[]int64) {
+func (p *PUPer) Int64s(v *[]int64) { words(p, v) }
+
+// Ints pipes a []int (as 64-bit words on the wire), resizing on unpack.
+func (p *PUPer) Ints(v *[]int) { words(p, v) }
+
+// words pipes a slice of 64-bit-on-the-wire integers. Mismatches render
+// values as unsigned, as Uint64 does.
+func words[T ~int | ~int64](p *PUPer, v *[]T) {
 	n := p.length(len(*v))
-	if n < 0 {
+	w, ok := p.window(n, 8, func(lo, hi int, w []byte) { putWords(w, (*v)[lo:hi]) })
+	if !ok {
 		return
 	}
-	if p.mode == Unpacking && len(*v) != n {
-		*v = make([]int64, n)
-	}
-	if p.mode == Sizing {
-		p.off += 8 * n
-		return
-	}
-	if p.spliceBulk(n, 8, func(i int, w []byte) {
-		binary.LittleEndian.PutUint64(w, uint64((*v)[i]))
-	}) {
-		return
-	}
-	for i := range *v {
-		if p.err != nil {
-			return
+	switch p.mode {
+	case Packing:
+		putWords(w, *v)
+	case Unpacking:
+		getWords(resized(v, n), w)
+	case Checking:
+		start := p.off - len(w)
+		for i, x := range *v {
+			if r := binary.LittleEndian.Uint64(w[8*i:]); r != uint64(x) {
+				p.addMismatch(start+8*(i+1), float64(uint64(x)), float64(r))
+			}
 		}
-		p.Int64(&(*v)[i])
 	}
 }
 
-// Ints pipes a []int, resizing on unpack.
-func (p *PUPer) Ints(v *[]int) {
-	n := p.length(len(*v))
-	if n < 0 {
-		return
+func putWords[T ~int | ~int64](w []byte, s []T) {
+	for ; len(s) >= 4 && len(w) >= 32; s, w = s[4:], w[32:] {
+		binary.LittleEndian.PutUint64(w[0:], uint64(s[0]))
+		binary.LittleEndian.PutUint64(w[8:], uint64(s[1]))
+		binary.LittleEndian.PutUint64(w[16:], uint64(s[2]))
+		binary.LittleEndian.PutUint64(w[24:], uint64(s[3]))
 	}
-	if p.mode == Unpacking && len(*v) != n {
-		*v = make([]int, n)
-	}
-	if p.mode == Sizing {
-		p.off += 8 * n
-		return
-	}
-	if p.spliceBulk(n, 8, func(i int, w []byte) {
-		binary.LittleEndian.PutUint64(w, uint64(int64((*v)[i])))
-	}) {
-		return
-	}
-	for i := range *v {
-		if p.err != nil {
-			return
-		}
-		p.Int(&(*v)[i])
+	for i, x := range s {
+		binary.LittleEndian.PutUint64(w[8*i:], uint64(x))
 	}
 }
 
-// Bytes pipes a []byte, resizing on unpack.
+func getWords[T ~int | ~int64](s []T, w []byte) {
+	for ; len(s) >= 4 && len(w) >= 32; s, w = s[4:], w[32:] {
+		s[0] = T(binary.LittleEndian.Uint64(w[0:]))
+		s[1] = T(binary.LittleEndian.Uint64(w[8:]))
+		s[2] = T(binary.LittleEndian.Uint64(w[16:]))
+		s[3] = T(binary.LittleEndian.Uint64(w[24:]))
+	}
+	for i := range s {
+		s[i] = T(binary.LittleEndian.Uint64(w[8*i:]))
+	}
+}
+
+// Bytes pipes a []byte, resizing on unpack. A Checking mismatch reports
+// the first differing byte at the end of the body.
 func (p *PUPer) Bytes(v *[]byte) {
 	n := p.length(len(*v))
-	if n < 0 {
-		return
-	}
-	if p.mode == Packing && p.spliceBulk(n, 1, func(i int, w []byte) {
-		w[0] = (*v)[i]
-	}) {
-		return
-	}
-	w := p.raw(n)
-	if p.mode == Sizing || p.err != nil {
+	w, ok := p.window(n, 1, func(lo, hi int, w []byte) { copy(w, (*v)[lo:hi]) })
+	if !ok {
 		return
 	}
 	switch p.mode {
 	case Packing:
 		copy(w, *v)
 	case Unpacking:
-		if len(*v) != n {
-			*v = make([]byte, n)
-		}
-		copy(*v, w)
+		copy(resized(v, n), w)
 	case Checking:
-		if p.skipDepth == 0 {
-			for i := 0; i < n; i++ {
-				if (*v)[i] != w[i] {
-					p.addMismatch(float64((*v)[i]), float64(w[i]))
-					break // one mismatch per byte slice is enough detail
-				}
+		if bytes.Equal(*v, w) {
+			return
+		}
+		for i, b := range *v {
+			if b != w[i] {
+				p.addMismatch(p.off, float64(b), float64(w[i]))
+				return
 			}
 		}
 	}

@@ -20,13 +20,14 @@ func (p *PUPer) Float32(v *float32) {
 	switch p.mode {
 	case Packing:
 		binary.LittleEndian.PutUint32(w, math.Float32bits(*v))
+		p.noteScalar(4)
 	case Unpacking:
 		*v = math.Float32frombits(binary.LittleEndian.Uint32(w))
 	case Checking:
 		if p.skipDepth == 0 {
 			r := math.Float32frombits(binary.LittleEndian.Uint32(w))
 			if !p.floatEqual(float64(*v), float64(r)) {
-				p.addMismatch(float64(*v), float64(r))
+				p.addMismatch(p.off, float64(*v), float64(r))
 			}
 		}
 	}
@@ -35,21 +36,31 @@ func (p *PUPer) Float32(v *float32) {
 // Float32s pipes a []float32, resizing on unpack.
 func (p *PUPer) Float32s(v *[]float32) {
 	n := p.length(len(*v))
-	if n < 0 {
+	w, ok := p.window(n, 4, func(lo, hi int, w []byte) { putFloat32s(w, (*v)[lo:hi]) })
+	if !ok {
 		return
 	}
-	if p.mode == Unpacking && len(*v) != n {
-		*v = make([]float32, n)
-	}
-	if p.mode == Sizing {
-		p.off += 4 * n
-		return
-	}
-	for i := range *v {
-		if p.err != nil {
-			return
+	switch p.mode {
+	case Packing:
+		putFloat32s(w, *v)
+	case Unpacking:
+		s := resized(v, n)
+		for i := range s {
+			s[i] = math.Float32frombits(binary.LittleEndian.Uint32(w[4*i:]))
 		}
-		p.Float32(&(*v)[i])
+	case Checking:
+		start := p.off - len(w)
+		for i, x := range *v {
+			if r := math.Float32frombits(binary.LittleEndian.Uint32(w[4*i:])); x != r && !p.floatEqual(float64(x), float64(r)) {
+				p.addMismatch(start+4*(i+1), float64(x), float64(r))
+			}
+		}
+	}
+}
+
+func putFloat32s(w []byte, s []float32) {
+	for i, x := range s {
+		binary.LittleEndian.PutUint32(w[4*i:], math.Float32bits(x))
 	}
 }
 
@@ -62,13 +73,14 @@ func (p *PUPer) Uint16(v *uint16) {
 	switch p.mode {
 	case Packing:
 		binary.LittleEndian.PutUint16(w, *v)
+		p.noteScalar(2)
 	case Unpacking:
 		*v = binary.LittleEndian.Uint16(w)
 	case Checking:
 		if p.skipDepth == 0 {
 			r := binary.LittleEndian.Uint16(w)
 			if r != *v {
-				p.addMismatch(float64(*v), float64(r))
+				p.addMismatch(p.off, float64(*v), float64(r))
 			}
 		}
 	}
@@ -115,78 +127,40 @@ func Objects[T Pupable](p *PUPer, v *[]T, mk func() T) {
 // MapStringFloat64 pipes a map[string]float64 in sorted key order, so two
 // replicas holding equal maps always produce byte-identical checkpoints
 // regardless of Go's map iteration order.
-func (p *PUPer) MapStringFloat64(v *map[string]float64) {
-	n := p.length(len(*v))
-	if n < 0 {
-		return
-	}
-	switch p.mode {
-	case Unpacking:
-		*v = make(map[string]float64, n)
-		for i := 0; i < n; i++ {
-			if p.err != nil {
-				return
-			}
-			var k string
-			var val float64
-			p.String(&k)
-			p.Float64(&val)
-			(*v)[k] = val
-		}
-	default:
-		keys := make([]string, 0, len(*v))
-		for k := range *v {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			if p.err != nil {
-				return
-			}
-			kk := k
-			val := (*v)[k]
-			p.String(&kk)
-			p.Float64(&val)
-			if p.mode == Checking && p.err != nil {
-				return
-			}
-		}
-	}
-}
+func (p *PUPer) MapStringFloat64(v *map[string]float64) { pupMap(p, v, p.Float64) }
 
 // MapStringInt64 pipes a map[string]int64 in sorted key order.
-func (p *PUPer) MapStringInt64(v *map[string]int64) {
+func (p *PUPer) MapStringInt64(v *map[string]int64) { pupMap(p, v, p.Int64) }
+
+// pupMap pipes a string-keyed map as its length and then key, value pairs
+// in sorted key order, piping each value with val.
+func pupMap[V any](p *PUPer, v *map[string]V, val func(*V)) {
 	n := p.length(len(*v))
 	if n < 0 {
 		return
 	}
-	switch p.mode {
-	case Unpacking:
-		*v = make(map[string]int64, n)
-		for i := 0; i < n; i++ {
-			if p.err != nil {
-				return
-			}
+	if p.mode == Unpacking {
+		*v = make(map[string]V, n)
+		for i := 0; i < n && p.err == nil; i++ {
 			var k string
-			var val int64
+			var x V
 			p.String(&k)
-			p.Int64(&val)
-			(*v)[k] = val
+			val(&x)
+			(*v)[k] = x
 		}
-	default:
-		keys := make([]string, 0, len(*v))
-		for k := range *v {
-			keys = append(keys, k)
+		return
+	}
+	keys := make([]string, 0, len(*v))
+	for k := range *v {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		if p.err != nil {
+			return
 		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			if p.err != nil {
-				return
-			}
-			kk := k
-			val := (*v)[k]
-			p.String(&kk)
-			p.Int64(&val)
-		}
+		x := (*v)[k]
+		p.String(&k)
+		val(&x)
 	}
 }

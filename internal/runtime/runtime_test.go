@@ -325,6 +325,15 @@ func TestHeartbeatDetection(t *testing.T) {
 	})
 	m.Start()
 	time.Sleep(15 * time.Millisecond) // let heartbeats establish
+	// Kill just after a fresh heartbeat. The timeout runs from the last
+	// beat, and the spinning ring tasks can starve the beater long enough
+	// that a kill would be detected at once.
+	m.mu.RLock()
+	victim := m.physFor(1, 1)
+	m.mu.RUnlock()
+	for deadline := time.Now().Add(2 * time.Second); time.Since(victim.lastBeatTime()) > m.cfg.HeartbeatInterval && time.Now().Before(deadline); {
+		time.Sleep(100 * time.Microsecond)
+	}
 	start := time.Now()
 	m.Kill(1, 1)
 	select {
